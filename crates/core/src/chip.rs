@@ -810,21 +810,18 @@ impl SmarcoSystem {
     }
 
     /// Advances the chip to exactly cycle `stop` whether or not it is
-    /// idle — unlike [`run`](Self::run), which stops early once the chip
-    /// drains. This is the chip-as-shard facade: an outer simulation
-    /// (e.g. [`crate::cluster::Cluster`]) embeds the chip as one PDES
-    /// shard and drives its clock window by window, submitting tasks at
-    /// boundary-message timestamps in between. No-op when `stop` is not
-    /// ahead of [`now`](Self::now).
+    /// idle; [`run`](Self::run) calls it grid step by grid step and stops
+    /// once the chip drains. This is also the chip-as-shard facade: an
+    /// outer simulation (e.g. [`crate::cluster::Cluster`]) embeds the chip
+    /// as one PDES shard and drives its clock window by window,
+    /// submitting tasks at boundary-message timestamps in between. No-op
+    /// when `stop` is not ahead of [`now`](Self::now).
+    ///
+    /// The advance pauses at metric-window boundaries so windows close
+    /// exactly on their nominal edge. Thanks to absolute message
+    /// timestamps, the pause schedule never changes the simulation's state
+    /// evolution.
     pub fn advance_until(&mut self, stop: Cycle) {
-        self.advance_to(stop);
-    }
-
-    /// Advances the chip to cycle `stop`, pausing at metric-window
-    /// boundaries so windows close exactly on their nominal edge. Thanks
-    /// to absolute message timestamps, the pause schedule never changes
-    /// the simulation's state evolution.
-    fn advance_to(&mut self, stop: Cycle) {
         while self.engine.now() < stop {
             let now = self.engine.now();
             let mut to = stop;
@@ -850,7 +847,7 @@ impl SmarcoSystem {
     pub fn run(&mut self, max: Cycle) -> SmarcoReport {
         while self.engine.now() < max && !self.is_done() {
             let stop = (((self.engine.now() / CHUNK) + 1) * CHUNK).min(max);
-            self.advance_to(stop);
+            self.advance_until(stop);
         }
         if self.config.obs.enabled() {
             self.flush_observations()

@@ -5,7 +5,8 @@
 //! [`SmarcoSystem`] — itself a PDES engine over sub-ring shards — becomes
 //! one shard of the outer cluster engine. The outer engine windows on the
 //! fabric latency; inside each window a [`ChipNode`] advances its chip's
-//! clock in lock-step ([`SmarcoSystem::advance_until`]), submitting
+//! clock in lock-step with [`SmarcoSystem::advance_until`], the same
+//! advance [`SmarcoSystem::run`] steps a standalone chip with, submitting
 //! requests at their boundary-message timestamps and emitting completion
 //! messages one fabric hop later. Because every chip is already
 //! bit-identical for any inner worker count, and the outer engine is

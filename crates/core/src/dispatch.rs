@@ -212,8 +212,11 @@ impl SubDispatcher {
     /// exit signals into `exits`, then bind at most one task to a vacant
     /// slot (the chain-table walk costs dispatch cycles).
     pub fn tick(&mut self, cores: &mut [TcgCore], now: Cycle, exits: &mut Vec<ExitSignal>) {
-        // Completions.
+        // Completions, from the cores that retired a thread.
         for (c, core) in cores.iter_mut().enumerate() {
+            if !core.has_retired() {
+                continue;
+            }
             for slot in core.take_retired() {
                 if let Some((task, work)) = self.dispatched.remove(&(c, slot)) {
                     let deadline = self.deadlines.remove(&task).unwrap_or(Cycle::MAX);

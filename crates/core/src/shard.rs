@@ -182,8 +182,15 @@ pub struct SubShard {
     /// Whether packets carry consumer-derived criticality for the
     /// backend's arbitration (and MACT bypass for elevated traffic).
     criticality_routing: bool,
+    /// Whether a stepped cycle ticks only the uncore components that have
+    /// work (on with cycle skipping; off, every component ticks every
+    /// cycle, the reference).
+    gated: bool,
     cores: Vec<TcgCore>,
     noc: Box<dyn NocBackend<ChipPayload>>,
+    /// Earliest cycle the sub-ring backend can act: its horizon after the
+    /// last tick, lowered to the injection cycle by every injection.
+    noc_wake: Option<Cycle>,
     mact: Mact,
     dispatcher: SubDispatcher,
     /// Sender-side gate of this sub-ring's direct-datapath spoke.
@@ -244,8 +251,10 @@ impl SubShard {
             channels: config.dram.channels,
             mact_on: config.mact.is_some(),
             criticality_routing: config.noc.criticality_routing,
+            gated: config.cycle_skip,
             cores,
             noc: build_sub_backend(&config.noc, sr),
+            noc_wake: None,
             mact,
             dispatcher: SubDispatcher::new(cps * config.tcg.resident_threads),
             to_mem: config
@@ -479,6 +488,7 @@ impl SubShard {
             RingSource::Core(core) => Entry::Endpoint(self.local_pos(core)),
             RingSource::Junction => Entry::Bridge,
         };
+        self.noc_wake = Some(now);
         if let Some(ev) = self.noc.inject(entry, pkt, now) {
             match ev {
                 NocEvent::Delivered(p) => self.handle_delivery(p, now, outbox),
@@ -767,14 +777,21 @@ impl SubShard {
         while let Some((attempt, source, pkt)) = self.retransmit.pop_due(now) {
             self.inject_sub(source, pkt, attempt, now, outbox);
         }
-        // 2. Backend deliveries and junction boundary crossings.
-        for ev in self.noc.tick(now) {
-            match ev {
-                NocEvent::Delivered(p) => self.handle_delivery(p, now, outbox),
-                NocEvent::Boundary(p) => {
-                    outbox.send(self.hub, now + self.jl, ChipMsg::Up(p));
+        // 2. Backend deliveries and junction boundary crossings. A
+        //    backend with nothing due is charged as an idle tick.
+        if !self.gated || self.noc_wake.is_some_and(|w| w <= now) {
+            let events = self.noc.tick(now);
+            self.noc_wake = self.noc.next_event(now + 1);
+            for ev in events {
+                match ev {
+                    NocEvent::Delivered(p) => self.handle_delivery(p, now, outbox),
+                    NocEvent::Boundary(p) => {
+                        outbox.send(self.hub, now + self.jl, ChipMsg::Up(p));
+                    }
                 }
             }
+        } else {
+            self.noc.skip_idle(now, now + 1);
         }
         // 3. The sub-dispatcher binds ready tasks to freed slots; exits
         //    head for the main scheduler.
@@ -802,33 +819,41 @@ impl SubShard {
             }
         }
         self.req_buf = buf;
-        // 5. MACT deadlines; flushed batches head for memory.
-        for batch in self.mact.tick(now) {
-            let bytes = if batch.is_write {
-                batch.bytes_referenced + BATCH_HEADER_BYTES
-            } else {
-                BATCH_HEADER_BYTES
-            };
-            let dst = NodeId::MemCtrl(self.channel_of(batch.base));
-            let mut p = self.packet(
-                NodeId::Junction(self.sr),
-                dst,
-                bytes,
-                now,
-                ChipPayload::Batch(batch),
-            );
-            if self.criticality_routing {
-                // The batch already spent its collection window; its
-                // reads now race the MACT deadline.
-                p.criticality = Criticality::Elevated;
+        // 5. MACT deadlines; flushed batches head for memory. An idle
+        //    MACT tick mutates nothing, so a MACT with nothing due is
+        //    not ticked.
+        if !self.gated || self.mact.next_event(now).is_some_and(|t| t <= now) {
+            for batch in self.mact.tick(now) {
+                let bytes = if batch.is_write {
+                    batch.bytes_referenced + BATCH_HEADER_BYTES
+                } else {
+                    BATCH_HEADER_BYTES
+                };
+                let dst = NodeId::MemCtrl(self.channel_of(batch.base));
+                let mut p = self.packet(
+                    NodeId::Junction(self.sr),
+                    dst,
+                    bytes,
+                    now,
+                    ChipPayload::Batch(batch),
+                );
+                if self.criticality_routing {
+                    // The batch already spent its collection window; its
+                    // reads now race the MACT deadline.
+                    p.criticality = Criticality::Elevated;
+                }
+                outbox.send(self.hub, now + self.jl, ChipMsg::Up(p));
             }
-            outbox.send(self.hub, now + self.jl, ChipMsg::Up(p));
         }
         // 6. Direct-path departures arrive at memory after the spoke's
         //    fixed traversal — already an absolute-cycle message.
         if let Some(spoke) = self.to_mem.as_mut() {
-            for (arrives, ucr) in spoke.tick(now) {
-                outbox.send(self.hub, arrives, ChipMsg::DirectReq(ucr));
+            if self.gated && spoke.is_idle() {
+                spoke.skip_idle(now, now + 1);
+            } else {
+                for (arrives, ucr) in spoke.tick(now) {
+                    outbox.send(self.hub, arrives, ChipMsg::DirectReq(ucr));
+                }
             }
         }
     }
@@ -907,7 +932,12 @@ pub struct HubShard {
     jl: Cycle,
     cores_per_subring: usize,
     channels: usize,
+    /// Whether a stepped cycle ticks only the components that have work
+    /// (see [`SubShard`]).
+    gated: bool,
     main: Box<dyn NocBackend<ChipPayload>>,
+    /// Earliest cycle the main-ring backend can act (see [`SubShard`]).
+    main_wake: Option<Cycle>,
     dram: Dram<DramJob>,
     /// Memory-side direct-datapath spokes, one per sub-ring.
     from_mem: Vec<DirectSpoke<UncoreReq>>,
@@ -949,7 +979,9 @@ impl HubShard {
             jl: config.noc.boundary_latency(),
             cores_per_subring: config.noc.cores_per_subring,
             channels: config.dram.channels,
+            gated: config.cycle_skip,
             main: build_hub_backend(&config.noc),
+            main_wake: None,
             dram,
             from_mem: config
                 .direct
@@ -1142,6 +1174,7 @@ impl HubShard {
                 .schedule(now + retry.backoff(attempt), (attempt + 1, pkt));
             return;
         }
+        self.main_wake = Some(now);
         if let Some(ev) = self.main.inject(Entry::Bridge, pkt, now) {
             self.on_main_event(ev, now, outbox);
         }
@@ -1180,14 +1213,24 @@ impl HubShard {
         }
         // 2. Direct-path replies depart toward their cores (before DRAM
         //    produces new ones, matching the monolithic step order).
-        for sr in 0..self.from_mem.len() {
-            for (arrives, ucr) in self.from_mem[sr].tick(now) {
+        for (sr, spoke) in self.from_mem.iter_mut().enumerate() {
+            if self.gated && spoke.is_idle() {
+                spoke.skip_idle(now, now + 1);
+                continue;
+            }
+            for (arrives, ucr) in spoke.tick(now) {
                 outbox.send(sr, arrives, ChipMsg::DirectReply(ucr));
             }
         }
-        // 3. Main-ring deliveries and descents.
-        for ev in self.main.tick(now) {
-            self.on_main_event(ev, now, outbox);
+        // 3. Main-ring deliveries and descents, gated like the sub-ring.
+        if !self.gated || self.main_wake.is_some_and(|w| w <= now) {
+            let events = self.main.tick(now);
+            self.main_wake = self.main.next_event(now + 1);
+            for ev in events {
+                self.on_main_event(ev, now, outbox);
+            }
+        } else {
+            self.main.skip_idle(now, now + 1);
         }
         // 4. DRAM completions produce replies.
         for job in self.dram.tick(now) {

@@ -478,6 +478,12 @@ impl TcgCore {
         std::mem::take(&mut self.retired)
     }
 
+    /// Whether any thread slot exited since the last
+    /// [`take_retired`](Self::take_retired) call.
+    pub fn has_retired(&self) -> bool {
+        !self.retired.is_empty()
+    }
+
     /// Whether the core has a vacant thread slot. A dead core never does:
     /// quarantine means the dispatcher stops binding work to it.
     pub fn has_vacancy(&self) -> bool {

@@ -297,13 +297,14 @@ impl<T: Transmittable> DirectedLink<T> {
         }
     }
 
+    /// Pops the next item arriving at the far router by `now`, if any.
+    pub fn pop_arrival(&mut self, now: Cycle) -> Option<T> {
+        self.wire.pop_due(now)
+    }
+
     /// Items arriving at the far router this cycle.
     pub fn arrivals(&mut self, now: Cycle) -> Vec<T> {
-        let mut out = Vec::new();
-        while let Some(p) = self.wire.pop_due(now) {
-            out.push(p);
-        }
-        out
+        std::iter::from_fn(|| self.pop_arrival(now)).collect()
     }
 
     /// Whether the link has nothing queued or in flight.
@@ -402,6 +403,11 @@ impl<T: Transmittable> Channel<T> {
         self.rev.transmit(rev_cap, slice, lat, now);
     }
 
+    /// Whether either direction has bytes waiting to transmit.
+    pub fn has_queued(&self) -> bool {
+        !self.fwd.queue.is_empty() || !self.rev.queue.is_empty()
+    }
+
     /// Whether both directions are idle.
     pub fn is_empty(&self) -> bool {
         self.fwd.is_empty() && self.rev.is_empty()
@@ -412,7 +418,7 @@ impl<T: Transmittable> Channel<T> {
     /// are queued, the earliest wire arrival while items are in flight,
     /// `None` when fully drained.
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        if !self.fwd.queue.is_empty() || !self.rev.queue.is_empty() {
+        if self.has_queued() {
             return Some(now);
         }
         match (self.fwd.wire.next_due(), self.rev.wire.next_due()) {

@@ -49,6 +49,45 @@ pub struct RingStats {
     pub total_hops: u64,
 }
 
+/// Set of channel indices, iterated in increasing order.
+#[derive(Debug, Clone)]
+struct ChannelSet {
+    words: Vec<u64>,
+}
+
+impl ChannelSet {
+    fn new(n: usize) -> Self {
+        Self {
+            words: vec![0; n.div_ceil(64)],
+        }
+    }
+
+    fn insert(&mut self, i: usize) {
+        self.words[i / 64] |= 1 << (i % 64);
+    }
+
+    fn remove(&mut self, i: usize) {
+        self.words[i / 64] &= !(1 << (i % 64));
+    }
+
+    fn is_empty(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
+
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let b = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    w * 64 + b
+                })
+            })
+        })
+    }
+}
+
 /// A ring of `n` router positions connected by [`Channel`]s.
 ///
 /// The ring is topology-only: it moves opaque items from an injection
@@ -59,6 +98,9 @@ pub struct RingStats {
 pub struct Ring<T> {
     /// `channels[i]` joins position `i` (fwd = cw) and `i+1 mod n`.
     channels: Vec<Channel<RingItem<T>>>,
+    /// Channels with anything queued or in flight — the only ones
+    /// [`tick`](Self::tick) moves traffic on.
+    active: ChannelSet,
     n: usize,
     /// When on, high-class items (class ≥ 2) pick their direction by a
     /// congestion-weighted cost instead of pure minimum hops.
@@ -77,6 +119,7 @@ impl<T: Transmittable> Ring<T> {
         link.validate();
         Self {
             channels: (0..n).map(|_| Channel::new(link)).collect(),
+            active: ChannelSet::new(n),
             n,
             adaptive: false,
             stats: RingStats::default(),
@@ -190,24 +233,37 @@ impl<T: Transmittable> Ring<T> {
     }
 
     fn push_out(&mut self, at: usize, item: RingItem<T>) {
+        let i = match item.dir {
+            Dir::Cw => at,
+            Dir::Ccw => (at + self.n - 1) % self.n,
+        };
+        self.active.insert(i);
+        let ch = &mut self.channels[i];
         match item.dir {
-            Dir::Cw => self.channels[at].fwd.push(item),
-            Dir::Ccw => self.channels[(at + self.n - 1) % self.n].rev.push(item),
+            Dir::Cw => ch.fwd.push(item),
+            Dir::Ccw => ch.rev.push(item),
         }
     }
 
     /// Advances one cycle; returns `(exit_position, hops, item)` for every
     /// item that reached its exit.
+    ///
+    /// Arrivals are collected only from active channels (anything queued
+    /// or in flight), in position order, and only channels with queued
+    /// bytes are ticked. Every other channel is charged through
+    /// [`Channel::skip_idle`], which equals an idle [`Channel::tick`] byte
+    /// for byte, so the result is identical to ticking every channel.
     pub fn tick(&mut self, now: Cycle) -> Vec<(usize, u32, T)> {
         let mut delivered = Vec::new();
-        // 1. Arrivals: collect from every channel, then forward or eject.
-        let mut moved: Vec<(usize, RingItem<T>)> = Vec::new();
-        for i in 0..self.n {
-            for mut it in self.channels[i].fwd.arrivals(now) {
+        // 1. Arrivals: collect from every active channel, then forward or
+        //    eject.
+        let mut moved = Vec::new();
+        for i in self.active.iter() {
+            while let Some(mut it) = self.channels[i].fwd.pop_arrival(now) {
                 it.hops += 1;
                 moved.push(((i + 1) % self.n, it));
             }
-            for mut it in self.channels[i].rev.arrivals(now) {
+            while let Some(mut it) = self.channels[i].rev.pop_arrival(now) {
                 it.hops += 1;
                 moved.push((i, it));
             }
@@ -221,16 +277,24 @@ impl<T: Transmittable> Ring<T> {
                 self.push_out(pos, it);
             }
         }
-        // 2. Transmit on every channel.
-        for ch in &mut self.channels {
-            ch.tick(now);
+        // 2. Transmit where bytes are queued. Charge every other channel
+        //    as idle, and retire the ones that have drained.
+        for (i, ch) in self.channels.iter_mut().enumerate() {
+            if ch.has_queued() {
+                ch.tick(now);
+            } else {
+                ch.skip_idle(now, now + 1);
+                if ch.is_empty() {
+                    self.active.remove(i);
+                }
+            }
         }
         delivered
     }
 
     /// Whether nothing is queued or in flight anywhere on the ring.
     pub fn is_idle(&self) -> bool {
-        self.channels.iter().all(Channel::is_empty)
+        self.active.is_empty()
     }
 
     /// Event horizon: the earliest cycle at or after `now` at which any
@@ -239,9 +303,9 @@ impl<T: Transmittable> Ring<T> {
     /// exactly at `t` — the wire due-cycle is an exact horizon, not an
     /// approximation. `None` when the ring is fully drained.
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        self.channels
+        self.active
             .iter()
-            .filter_map(|ch| ch.next_event(now))
+            .filter_map(|i| self.channels[i].next_event(now))
             .min()
     }
 
@@ -282,6 +346,7 @@ impl<T: Transmittable> Ring<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smarco_sim::rng::SimRng;
 
     #[derive(Debug, Clone, PartialEq)]
     struct P(u32);
@@ -419,6 +484,123 @@ mod tests {
         assert_eq!(r.next_event(3), Some(4));
         let _ = run_until_delivered(&mut r, 20);
         assert_eq!(r.next_event(20), None);
+    }
+
+    /// A routed item with an identity, a size and an arbitration class.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Tagged {
+        id: u32,
+        bytes: u32,
+        class: u8,
+    }
+
+    impl Transmittable for Tagged {
+        fn bytes(&self) -> u32 {
+            self.bytes
+        }
+        fn class(&self) -> u8 {
+            self.class
+        }
+    }
+
+    /// The reference tick: every channel is visited for arrivals and
+    /// ticked for transmission, whatever it holds.
+    fn tick_every_channel(r: &mut Ring<Tagged>, now: Cycle) -> Vec<(usize, u32, Tagged)> {
+        let mut delivered = Vec::new();
+        let mut moved = Vec::new();
+        for i in 0..r.n {
+            for mut it in r.channels[i].fwd.arrivals(now) {
+                it.hops += 1;
+                moved.push(((i + 1) % r.n, it));
+            }
+            for mut it in r.channels[i].rev.arrivals(now) {
+                it.hops += 1;
+                moved.push((i, it));
+            }
+        }
+        for (pos, it) in moved {
+            if it.exit == pos {
+                r.stats.delivered += 1;
+                r.stats.total_hops += u64::from(it.hops);
+                delivered.push((pos, it.hops, it.item));
+            } else {
+                r.push_out(pos, it);
+            }
+        }
+        for ch in &mut r.channels {
+            ch.tick(now);
+        }
+        delivered
+    }
+
+    #[test]
+    fn active_channel_tick_matches_ticking_every_channel() {
+        let sub = LinkConfig::sub_ring();
+        let geometries = [
+            (2, sub, false),
+            (5, sub.conventional(), false),
+            (17, sub, false),
+            (17, sub, true),
+            (22, LinkConfig::main_ring(), true),
+            (22, LinkConfig::main_ring().conventional(), false),
+            (70, sub.sliced(4), true),
+            // Multi-cycle hops leave channels with traffic in flight
+            // but nothing queued.
+            (
+                9,
+                LinkConfig {
+                    hop_latency: 3,
+                    ..sub
+                },
+                true,
+            ),
+        ];
+        for (seed, &(n, link, adaptive)) in geometries.iter().enumerate() {
+            let mut rng = SimRng::new(seed as u64 + 1);
+            let mut gated: Ring<Tagged> = Ring::new(n, link);
+            let mut reference: Ring<Tagged> = Ring::new(n, link);
+            gated.set_adaptive(adaptive);
+            reference.set_adaptive(adaptive);
+            let mut id = 0;
+            for now in 0..3000 {
+                // Bursty load with long quiet stretches, so channels go
+                // active and idle again many times.
+                let injections = if (now / 200) % 3 == 2 {
+                    0
+                } else {
+                    rng.gen_index(4)
+                };
+                for _ in 0..injections {
+                    let item = Tagged {
+                        id,
+                        bytes: 1 + rng.gen_range(80) as u32,
+                        class: rng.gen_range(4) as u8,
+                    };
+                    id += 1;
+                    let (at, exit) = (rng.gen_index(n), rng.gen_index(n));
+                    assert_eq!(
+                        gated.inject(at, exit, item.clone()),
+                        reference.inject(at, exit, item)
+                    );
+                }
+                assert_eq!(
+                    gated.tick(now),
+                    tick_every_channel(&mut reference, now),
+                    "n={n} cycle {now}"
+                );
+                assert_eq!(gated.next_event(now + 1), reference.next_event(now + 1));
+                assert_eq!(
+                    gated.is_idle(),
+                    reference.channels.iter().all(Channel::is_empty)
+                );
+            }
+            assert!(gated.stats().delivered > 0);
+            assert_eq!(gated.stats(), reference.stats());
+            for (g, r) in gated.channels.iter().zip(&reference.channels) {
+                assert_eq!(g.fwd.stats(), r.fwd.stats(), "n={n} fwd");
+                assert_eq!(g.rev.stats(), r.rev.stats(), "n={n} rev");
+            }
+        }
     }
 
     #[test]
